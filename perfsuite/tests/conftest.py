@@ -1,0 +1,9 @@
+"""Make the simulator importable from the benchmark's tests."""
+
+import os
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))), "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
