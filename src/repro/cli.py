@@ -64,13 +64,6 @@ updates the cumulative ``results/json/BENCH_obs.json`` run summary;
 ``report`` renders that summary back as text and ``compare`` diffs two
 summaries, exiting 1 on a regression.
 
-Simulation-as-a-service (see ``docs/serving.md``)::
-
-    python -m repro.cli serve --workers 2          # run the job daemon
-    python -m repro.cli submit table2 --scale 0.25 --wait
-    python -m repro.cli jobs --state running
-    python -m repro.cli watch <job-id>             # live SSE event tail
-
 ``--version`` (or ``-V``) prints the package version and exits.
 
 Third-party strategies installed under the ``repro.experiments`` entry
@@ -660,22 +653,6 @@ def _dispatch(argv) -> int:
 
         print(f"repro {__version__}")
         return 0
-    if argv and argv[0] == "serve":
-        from repro.serve.cli import main_serve
-
-        return main_serve(argv[1:])
-    if argv and argv[0] == "submit":
-        from repro.serve.cli import main_submit
-
-        return main_submit(argv[1:])
-    if argv and argv[0] == "jobs":
-        from repro.serve.cli import main_jobs
-
-        return main_jobs(argv[1:])
-    if argv and argv[0] == "watch":
-        from repro.serve.cli import main_watch
-
-        return main_watch(argv[1:])
     if argv and argv[0] == "compare":
         return _main_compare(argv[1:])
     if argv and argv[0] == "replay":

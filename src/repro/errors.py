@@ -13,7 +13,7 @@ exception                   exit code  raised for
 :class:`ConfigError`        2          invalid configuration / usage
 :class:`TraceFormatError`   3          unreadable or malformed trace
 :class:`SimulationFault`    4          simulation failed on both engines
-:class:`Cancelled`          130        run cancelled (signal / job API)
+:class:`Cancelled`          130        run cancelled (SIGINT/SIGTERM)
 ==========================  =========  =================================
 
 :class:`ConfigError` and :class:`TraceFormatError` also subclass
@@ -132,8 +132,7 @@ class Cancelled(ReproError):
     Raised by the parallel harness when a sweep is interrupted — by
     SIGINT/SIGTERM (see
     :func:`repro.harness.parallel.cancellation_signals`) or by a
-    :class:`~repro.harness.parallel.CancelToken` set programmatically,
-    e.g. through the serve daemon's ``DELETE /jobs/<id>`` endpoint.
+    :class:`~repro.harness.parallel.CancelToken` set programmatically.
     Cancellation is a *clean* outcome: the worker pool is torn down,
     every already-completed (workload, config) record has been merged
     and journaled, and the exit code follows the 128+SIGINT shell

@@ -40,12 +40,13 @@ merged record so an interrupted sweep resumes instead of restarting.
 
 Cancellation: every prefetch runs under a :class:`CancelToken`. While
 the pool is live, SIGINT/SIGTERM are routed through
-:func:`cancellation_signals` onto that token (main thread only — the
-serve daemon's job threads set tokens through its API instead), so an
+:func:`cancellation_signals` onto that token (main thread only), so an
 interrupted sweep tears the pool down cleanly, keeps and journals
 every record already merged, and surfaces as the typed
 :class:`~repro.errors.Cancelled` (exit code 130) rather than a raw
-``KeyboardInterrupt`` traceback mid-merge.
+``KeyboardInterrupt`` traceback mid-merge. Pool workers reset those
+handlers (:func:`_init_worker`): the parent alone owns Ctrl-C, and a
+worker's SIGTERM from pool teardown ends it at once.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import Cancelled, SimulationFault
-from repro.harness.runner import ConfigSpec, ExperimentContext, RunRecord
+from repro.harness.runner import ConfigSpec, ExperimentContext
 from repro.obs import EVENT_WORKER_RETRY, get_logger
 
 log = get_logger("harness.parallel")
@@ -72,9 +73,9 @@ _POLL_S = 0.1
 class CancelToken:
     """Cooperative, thread-safe cancellation flag for a sweep.
 
-    Created per prefetch (or handed in by a caller that wants to
-    cancel from another thread — the serve daemon's ``DELETE
-    /jobs/<id>``). Setting it is idempotent; the first reason wins.
+    Created per prefetch, or handed in by a caller that wants to
+    cancel from another thread. Setting it is idempotent; the first
+    reason wins.
     """
 
     def __init__(self):
@@ -105,7 +106,8 @@ def cancellation_signals(
     ``KeyboardInterrupt`` traceback from whatever bytecode the merge
     loop happened to be on. Previous handlers are restored on exit.
     No-op outside the main thread (Python only delivers signals
-    there), so daemon job threads can share the same code path.
+    there), so sweeps started from other threads share the same code
+    path.
     """
     if threading.current_thread() is not threading.main_thread():
         yield token
@@ -265,6 +267,22 @@ def _split_fan(task: dict, nchunks: int) -> List[dict]:
     return units
 
 
+def _init_worker() -> None:
+    """Pool initializer: undo the parent's signal handlers in a worker.
+
+    Forked workers inherit :func:`cancellation_signals`' handler, so
+    they would catch SIGTERM from :func:`_terminate_pool` instead of
+    exiting, and catch a terminal's Ctrl-C meant for the parent.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    """A worker pool whose processes leave signal handling to the parent."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)
+
+
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down even if its workers are wedged.
 
@@ -303,7 +321,7 @@ def _run_round(
     """
     completed: List[Tuple[dict, tuple]] = []
     failed: List[Tuple[dict, str]] = []
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = _new_pool(workers)
     futures = [(task, pool.submit(_run_task, task)) for task in tasks]
     abort: Optional[str] = None
     for task, future in futures:
@@ -387,9 +405,9 @@ def prefetch_runs(
             fraction, RSS) over a manager queue that the sink drains
             live, so a stuck worker is visible mid-run.
         cancel: optional :class:`CancelToken` shared with another
-            thread (the serve daemon's job queue). A fresh token is
-            created when omitted; either way SIGINT/SIGTERM route onto
-            it while the pool is live (main thread only).
+            thread. A fresh token is created when omitted; either way
+            SIGINT/SIGTERM route onto it while the pool is live (main
+            thread only).
 
     Raises:
         SimulationFault: tasks still failing after every retry; the
@@ -630,10 +648,3 @@ def _prefetch_rounds(
             time.sleep(delay)
             pending = [task for task, _ in failed]
     return fetched
-
-
-def merge_records(
-    ctx: ExperimentContext, records: Dict[Tuple[str, ConfigSpec], RunRecord]
-) -> None:
-    """Adopt externally computed records into a context's memo."""
-    ctx._runs.update(records)

@@ -390,10 +390,6 @@ class ExperimentContext:
         self.journal = None
         self.checkpoint_dir: Optional[str] = None
         self.strategy_options: Dict[str, object] = {}
-        #: Optional :class:`~repro.harness.parallel.CancelToken` the
-        #: driver publishes; long-running strategies should poll
-        #: ``ctx.cancel.cancelled()`` to honour job cancellation.
-        self.cancel = None
         #: Event dicts (each with a ``kind``) strategies queue for the
         #: run-history store — how controller decisions become
         #: queryable ``repro history`` rows even when live tracing is

@@ -391,8 +391,7 @@ class StrategyRunResult:
     outcomes: List[StrategyOutcome] = field(default_factory=list)
     #: The shared context (None when no strategy required one).
     ctx: Optional[ExperimentContext] = None
-    #: History-store run id when ``record_history`` landed one (the
-    #: serve daemon links jobs to ``repro history`` rows through this).
+    #: History-store run id when ``record_history`` landed one.
     run_id: Optional[int] = None
 
     @property
@@ -602,7 +601,6 @@ def run_strategies(
     record_history: bool = False,
     argv: Optional[Sequence[str]] = None,
     strategy_options: Optional[dict] = None,
-    cancel=None,
 ) -> StrategyRunResult:
     """Run a batch of strategies through the one generic pipeline.
 
@@ -645,12 +643,6 @@ def run_strategies(
             context as ``ctx.strategy_options`` — how strategy-specific
             CLI knobs (``--error-budget``, ``--voltage-steps``) reach
             the strategies without per-experiment driver branches.
-        cancel: optional
-            :class:`~repro.harness.parallel.CancelToken` another thread
-            may set (the serve daemon's ``DELETE /jobs/<id>``). Checked
-            between strategies and polled continuously during the
-            parallel prefetch; also published as ``ctx.cancel`` so
-            long-running strategies can poll it themselves.
 
     Returns:
         :class:`StrategyRunResult` with per-strategy tables/wall times,
@@ -659,10 +651,9 @@ def run_strategies(
     Raises:
         UnknownExperimentError: an experiment name is not registered.
         SimulationFault: the parallel prefetch exhausted its retries.
-        Cancelled: the ``cancel`` token was set (or a signal arrived
-            during the prefetch); a recorded history run keeps its
-            completed results plus a ``run_cancelled`` event, without
-            being marked finished.
+        Cancelled: SIGINT/SIGTERM arrived during a parallel prefetch;
+            a recorded history run keeps its completed results plus a
+            ``run_cancelled`` event, without being marked finished.
     """
     reg = strategy_registry if strategy_registry is not None else registry
     resolved = [reg.resolve(item) for item in experiments]
@@ -718,7 +709,6 @@ def run_strategies(
         ctx.journal = journal
         ctx.checkpoint_dir = checkpoint_dir
         ctx.strategy_options = dict(strategy_options or {})
-        ctx.cancel = cancel
     result = StrategyRunResult(ctx=ctx, run_id=run_id)
     try:
         if jobs > 1 and ctx is not None:
@@ -743,7 +733,6 @@ def run_strategies(
                     journal=journal,
                     split_fans=split_fans,
                     progress=progress,
-                    cancel=cancel,
                 )
                 if progress is not None and echo:
                     beat = progress.summary()
@@ -755,11 +744,6 @@ def run_strategies(
                     echo(f"[prefetched {fetched} runs across {jobs} jobs]")
 
         for strategy in resolved:
-            if cancel is not None and cancel.cancelled():
-                raise Cancelled(
-                    f"run cancelled ({cancel.reason}) before experiment "
-                    f"{strategy.label()!r}"
-                )
             result.outcomes.append(
                 _execute_one(
                     strategy, ctx, obs, out=out, json_dir=json_dir, echo=echo
@@ -768,7 +752,6 @@ def run_strategies(
     except Cancelled as exc:
         if store is not None:
             _abort_history_run(store, run_id, ctx, str(exc))
-        exc.run_id = run_id  # let callers (the serve daemon) link the run
         raise
 
     if ctx is not None and json_dir:

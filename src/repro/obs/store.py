@@ -24,9 +24,6 @@ table              contents
                    from :mod:`repro.obs.livestream`, engine fallbacks…)
 ``engine_stats``   flattened per-class engine tallies per result
                    (``fast.read_hit`` …; see ``docs/engine.md``)
-``jobs``           serve-daemon job journal: queued/running/terminal job
-                   rows that survive daemon restarts, each linking to
-                   its ``runs`` row once executed (``docs/serving.md``)
 =================  ==========================================================
 
 The schema version lives in sqlite's ``PRAGMA user_version``; opening
@@ -35,9 +32,9 @@ so a fresh database and an upgraded one are structurally identical
 (creation itself is "create v1, then migrate to head").
 
 Concurrency: the store is opened in WAL journal mode with a 5 s
-``busy_timeout``, so the serve daemon's writer threads and concurrent
-``repro history`` reader processes coexist without ``database is
-locked`` errors — WAL readers never block the writer and vice versa.
+``busy_timeout``, so writer threads and concurrent ``repro history``
+reader processes coexist without ``database is locked`` errors — WAL
+readers never block the writer and vice versa.
 The connection is created with ``check_same_thread=False`` and every
 method serializes on an internal :class:`threading.RLock`, making one
 :class:`RunStore` instance safe to share across threads (each
@@ -67,7 +64,7 @@ from repro.errors import ConfigError
 from repro.obs.output import BENCH_SCHEMA
 
 #: Current schema version (``PRAGMA user_version``).
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: Default on-disk location, overridable with ``REPRO_STORE``.
 DEFAULT_STORE_PATH = os.path.join("results", "json", "history.db")
@@ -158,43 +155,29 @@ _MIGRATION_V2 = (
     "ALTER TABLE runs ADD COLUMN cpu_s REAL",
 )
 
-_MIGRATION_V3 = (
-    # Serve-daemon job journal: job rows outlive the daemon process so
-    # a restart re-reports terminal jobs and re-enqueues queued ones;
-    # run_id links an executed job to its history run (SET NULL keeps
-    # the job row meaningful after `repro history gc`).
-    """
-    CREATE TABLE IF NOT EXISTS jobs (
-        id TEXT PRIMARY KEY,
-        submitted_unix REAL NOT NULL,
-        started_unix REAL,
-        finished_unix REAL,
-        state TEXT NOT NULL,
-        spec TEXT NOT NULL,
-        run_id INTEGER REFERENCES runs(id) ON DELETE SET NULL,
-        error TEXT,
-        daemon TEXT
-    )
-    """,
-    "CREATE INDEX IF NOT EXISTS idx_jobs_state ON jobs(state)",
-)
-
-
 def _migrate_1_to_2(conn: sqlite3.Connection) -> None:
     """v1 → v2: add the ``events`` table and the ``runs.cpu_s`` column."""
     for stmt in _MIGRATION_V2:
         conn.execute(stmt)
 
 
-def _migrate_2_to_3(conn: sqlite3.Connection) -> None:
-    """v2 → v3: add the serve-daemon ``jobs`` journal table."""
-    for stmt in _MIGRATION_V3:
-        conn.execute(stmt)
+def _migrate_2_to_4(conn: sqlite3.Connection) -> None:
+    """v2 → v4: nothing; v3 only added the ``jobs`` table v4 removed."""
 
 
-#: version N -> migration applying everything needed to reach N+1.
-#: Opening a store walks from ``user_version`` to :data:`SCHEMA_VERSION`.
-MIGRATIONS = {1: _migrate_1_to_2, 2: _migrate_2_to_3}
+def _migrate_3_to_4(conn: sqlite3.Connection) -> None:
+    """v3 → v4: drop the job-queue ``jobs`` table (and its index)."""
+    conn.execute("DROP TABLE IF EXISTS jobs")
+
+
+#: version N -> (version reached, migration). Opening a store walks
+#: from ``user_version`` to :data:`SCHEMA_VERSION`; a v2 store skips
+#: straight to v4, so a fresh store never creates the ``jobs`` table.
+MIGRATIONS = {
+    1: (2, _migrate_1_to_2),
+    2: (4, _migrate_2_to_4),
+    3: (4, _migrate_3_to_4),
+}
 
 
 def default_store_path(json_dir: Optional[str] = None) -> str:
@@ -257,8 +240,8 @@ class RunStore:
     The connection runs in WAL mode with a :data:`BUSY_TIMEOUT_S`
     busy timeout and is safe to share across threads: every method
     holds an internal reentrant lock for its whole execute+commit (or
-    execute+fetch) span, so the serve daemon's writer threads and
-    in-process readers never interleave transactions.
+    execute+fetch) span, so writer threads and in-process readers
+    never interleave transactions.
     """
 
     def __init__(self, path: str):
@@ -274,7 +257,7 @@ class RunStore:
         self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA foreign_keys = ON")
         try:
-            # WAL lets history readers run while the daemon writes.
+            # WAL lets history readers run while another process writes.
             # Silently unavailable on some filesystems (and :memory:);
             # the busy timeout still prevents hard lock errors there.
             self._conn.execute("PRAGMA journal_mode = WAL")
@@ -305,8 +288,8 @@ class RunStore:
                     field="store",
                 )
             while version < SCHEMA_VERSION:
-                MIGRATIONS[version](self._conn)
-                version += 1
+                version, migrate = MIGRATIONS[version]
+                migrate(self._conn)
             self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
             self._conn.commit()
 
@@ -542,72 +525,6 @@ class RunStore:
             self._conn.commit()
         return len(rows)
 
-    # ----------------------------------------------------------------- jobs
-
-    def save_job(self, row: dict) -> None:
-        """Upsert one serve-daemon job journal row (keyed by ``id``).
-
-        ``row`` carries the columns of the ``jobs`` table; ``spec`` may
-        be a dict (serialized here) or an already-encoded JSON string.
-        Used by :class:`repro.serve.queue.JobQueue` on every state
-        transition so a restarted daemon recovers the queue.
-        """
-        spec = row["spec"]
-        if not isinstance(spec, str):
-            spec = json.dumps(spec, default=str)
-        with self._lock:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO jobs (id, submitted_unix, "
-                "started_unix, finished_unix, state, spec, run_id, error, "
-                "daemon) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    row["id"],
-                    row["submitted_unix"],
-                    row.get("started_unix"),
-                    row.get("finished_unix"),
-                    row["state"],
-                    spec,
-                    row.get("run_id"),
-                    row.get("error"),
-                    row.get("daemon"),
-                ),
-            )
-            self._conn.commit()
-
-    def load_jobs(self, states: Optional[Sequence[str]] = None) -> List[dict]:
-        """Job journal rows, oldest submission first, specs decoded.
-
-        ``states`` filters to the given job states (e.g. ``("queued",
-        "running")`` when a restarted daemon recovers its backlog).
-        """
-        sql = "SELECT * FROM jobs"
-        params: List[object] = []
-        if states:
-            marks = ", ".join("?" for _ in states)
-            sql += f" WHERE state IN ({marks})"
-            params = list(states)
-        sql += " ORDER BY submitted_unix, id"
-        with self._lock:
-            rows = self._conn.execute(sql, params).fetchall()
-        out = []
-        for row in rows:
-            decoded = dict(row)
-            decoded["spec"] = _load_or_none(decoded.get("spec"))
-            out.append(decoded)
-        return out
-
-    def job_row(self, job_id: str) -> Optional[dict]:
-        """One job journal row by id (spec decoded), or None."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM jobs WHERE id = ?", (job_id,)
-            ).fetchone()
-        if row is None:
-            return None
-        decoded = dict(row)
-        decoded["spec"] = _load_or_none(decoded.get("spec"))
-        return decoded
-
     # ---------------------------------------------------------------- reads
 
     def run_ids(self) -> List[int]:
@@ -819,8 +736,7 @@ class RunStore:
         """Delete all but the newest ``keep`` runs; returns rows dropped.
 
         Foreign keys cascade, so a run's results, metrics, events and
-        engine stats go with it (job rows keep their ids with ``run_id``
-        nulled); the file is vacuumed afterwards.
+        engine stats go with it; the file is vacuumed afterwards.
         """
         if keep < 0:
             raise ConfigError(f"keep must be >= 0, got {keep}", field="keep")

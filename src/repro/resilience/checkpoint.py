@@ -19,18 +19,6 @@ each completed (workload, config) result to disk as it finishes:
   memo merge path is the same one a live worker uses, a resumed
   sweep's output is byte-identical to an uninterrupted run (modulo
   wall-clock fields).
-
-Passing a ``--checkpoint-dir`` ending in ``.zip`` selects the
-single-file container instead (:class:`ZipSweepJournal`): every entry
-becomes a deflated member of one archive — easier to ship around than
-a directory of pickles — and resuming transparently adopts any loose
-per-pair pickles left by an earlier directory journal at the same
-path minus ``.zip``. The container trades the loose journal's
-per-entry crash atomicity for single-file convenience: a crash while
-appending can corrupt the archive's central directory, in which case
-the damaged file is set aside as ``<path>.corrupt`` and the sweep
-recomputes. :func:`compact_journal` packs an existing directory
-journal into a container after the fact.
 """
 
 from __future__ import annotations
@@ -77,13 +65,20 @@ class SweepJournal:
             checked against an existing journal's ``meta.json``.
 
     Raises:
-        ConfigError: the directory holds a journal written under a
-            different (seed, scale, engine) fingerprint.
+        ConfigError: ``directory`` is an existing non-directory file,
+            or holds a journal written under a different (seed, scale,
+            engine) fingerprint.
     """
 
     def __init__(self, directory: str, meta: dict):
         self.directory = directory
         self.meta = dict(meta)
+        if os.path.exists(directory) and not os.path.isdir(directory):
+            raise ConfigError(
+                "checkpoint path exists and is not a directory; use a "
+                "different --checkpoint-dir",
+                path=directory,
+            )
         meta_path = os.path.join(directory, _META_FILENAME)
         if os.path.exists(meta_path):
             try:
@@ -177,185 +172,8 @@ class SweepJournal:
         return (runs, errors)
 
 
-class ZipSweepJournal(SweepJournal):
-    """Single-file zip container variant of :class:`SweepJournal`.
-
-    Selected by :func:`open_journal` when the checkpoint path ends in
-    ``.zip``. Entries are the same pickles the directory journal
-    writes, stored as deflated archive members; ``meta.json`` is a
-    member too. Journal writes only ever happen in the parent process
-    (workers return results over the pool), so append-mode access
-    needs no cross-process locking.
-    """
-
-    def __init__(self, path: str, meta: dict):
-        self.meta = dict(meta)
-        self.directory = path  # container path; kept for log messages
-        self._legacy_dir = path[: -len(".zip")]
-        if os.path.exists(path):
-            existing = self._read_meta(path)
-            if existing is not None and existing != self.meta:
-                raise ConfigError(
-                    f"checkpoint was written under {existing}, current context "
-                    f"is {self.meta}; use a different --checkpoint-dir or "
-                    "delete the stale journal",
-                    path=path,
-                )
-        self._meta_written = False
-
-    def _read_meta(self, path: str) -> Optional[dict]:
-        """Meta member of an existing container; quarantines corruption."""
-        import zipfile
-
-        try:
-            with zipfile.ZipFile(path) as zf:
-                if _META_FILENAME not in zf.namelist():
-                    return None
-                return json.loads(zf.read(_META_FILENAME))
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:
-            quarantine = path + ".corrupt"
-            log.warning(
-                "checkpoint container %s is unreadable (%s); moving it to "
-                "%s and recomputing", path, exc, quarantine,
-            )
-            os.replace(path, quarantine)
-            return None
-
-    def _ensure_meta(self) -> None:
-        if self._meta_written:
-            return
-        import zipfile
-
-        parent = os.path.dirname(os.path.abspath(self.directory))
-        os.makedirs(parent, exist_ok=True)
-        with zipfile.ZipFile(
-            self.directory, "a", zipfile.ZIP_DEFLATED
-        ) as zf:
-            if _META_FILENAME not in zf.namelist():
-                zf.writestr(
-                    _META_FILENAME,
-                    json.dumps(self.meta, indent=2, sort_keys=True) + "\n",
-                )
-        self._meta_written = True
-
-    def _write(self, kind: str, workload: str, spec, payload) -> str:
-        import zipfile
-
-        self._ensure_meta()
-        name = f"{kind}-{workload}-{spec_digest(workload, spec)}.pkl"
-        blob = pickle.dumps(
-            {"kind": kind, "workload": workload, "spec": spec,
-             "payload": payload},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        with zipfile.ZipFile(
-            self.directory, "a", zipfile.ZIP_DEFLATED
-        ) as zf:
-            if name not in zf.namelist():  # results are deterministic
-                zf.writestr(name, blob)
-        return os.path.join(self.directory, name)
-
-    def load_into(self, ctx) -> Tuple[int, int]:
-        """Merge container members — and any loose legacy pickles —
-        into the context's memo.
-
-        A directory journal left at the container path minus ``.zip``
-        (e.g. from a sweep run before switching to the container) is
-        adopted transparently with the same fingerprint check.
-        """
-        import zipfile
-
-        runs = errors = 0
-        names = set(ctx.names)
-        if os.path.exists(self.directory):
-            try:
-                zf = zipfile.ZipFile(self.directory)
-            except (OSError, zipfile.BadZipFile) as exc:
-                log.warning(
-                    "skipping unreadable checkpoint container %s: %s",
-                    self.directory, exc,
-                )
-                zf = None
-            if zf is not None:
-                with zf:
-                    for member in sorted(zf.namelist()):
-                        if not member.endswith(".pkl"):
-                            continue
-                        try:
-                            entry = pickle.loads(zf.read(member))
-                            kind = entry["kind"]
-                            workload = entry["workload"]
-                            spec = entry["spec"]
-                            payload = entry["payload"]
-                        except Exception as exc:
-                            log.warning(
-                                "skipping unreadable checkpoint member "
-                                "%s!%s: %s", self.directory, member, exc,
-                            )
-                            continue
-                        if workload not in names:
-                            continue
-                        key = (workload, spec)
-                        if kind == "run" and key not in ctx._runs:
-                            ctx._runs[key] = payload
-                            runs += 1
-                        elif kind == "error" and key not in ctx._errors:
-                            ctx._errors[key] = float(payload)
-                            errors += 1
-        if os.path.isdir(self._legacy_dir):
-            legacy = SweepJournal(self._legacy_dir, self.meta)
-            adopted_runs, adopted_errors = legacy.load_into(ctx)
-            if adopted_runs or adopted_errors:
-                log.info(
-                    "adopted %d runs / %d errors from loose journal %s",
-                    adopted_runs, adopted_errors, self._legacy_dir,
-                )
-            runs += adopted_runs
-            errors += adopted_errors
-        return (runs, errors)
-
-
-def compact_journal(directory: str, zip_path: Optional[str] = None) -> str:
-    """Pack a directory journal into a single-file zip container.
-
-    Copies ``meta.json`` and every readable ``.pkl`` entry into
-    ``zip_path`` (default: ``<directory>.zip``, members deflated) and
-    returns the container path. The source directory is left in place;
-    a later ``--checkpoint-dir <directory>.zip --resume`` would adopt
-    it anyway, but compacting first makes the sweep state one file.
-    """
-    import zipfile
-
-    if zip_path is None:
-        zip_path = directory.rstrip("/\\") + ".zip"
-    if not os.path.isdir(directory):
-        raise ConfigError(
-            "no checkpoint directory to compact", path=directory
-        )
-    with zipfile.ZipFile(zip_path, "w", zipfile.ZIP_DEFLATED) as zf:
-        for filename in sorted(os.listdir(directory)):
-            if filename != _META_FILENAME and not filename.endswith(".pkl"):
-                continue
-            path = os.path.join(directory, filename)
-            try:
-                with open(path, "rb") as fh:
-                    blob = fh.read()
-            except OSError as exc:
-                log.warning("compact: skipping unreadable %s: %s", path, exc)
-                continue
-            zf.writestr(filename, blob)
-    return zip_path
-
-
 def open_journal(directory: str, ctx) -> Optional[SweepJournal]:
-    """Build a journal for ``ctx`` at ``directory`` (None disables).
-
-    A path ending in ``.zip`` selects the single-file
-    :class:`ZipSweepJournal` container; anything else the loose
-    per-pair pickle directory.
-    """
+    """Build a journal for ``ctx`` at ``directory`` (None disables)."""
     if not directory:
         return None
-    if directory.endswith(".zip"):
-        return ZipSweepJournal(directory, context_fingerprint(ctx))
     return SweepJournal(directory, context_fingerprint(ctx))

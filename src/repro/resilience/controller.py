@@ -154,16 +154,9 @@ class FrontierOptions:
 
 
 def controller_state_dir(checkpoint_dir: Optional[str]) -> Optional[str]:
-    """Where controller state files live for a given checkpoint path.
-
-    A directory journal keeps them in a ``frontier/`` subdirectory; a
-    ``.zip`` container (which cannot hold them atomically) uses a
-    sibling ``<path minus .zip>.frontier/`` directory.
-    """
+    """Where controller state files live: ``<checkpoint_dir>/frontier``."""
     if not checkpoint_dir:
         return None
-    if checkpoint_dir.endswith(".zip"):
-        return checkpoint_dir[: -len(".zip")] + ".frontier"
     return os.path.join(checkpoint_dir, "frontier")
 
 

@@ -7,7 +7,10 @@ can persist them: :func:`save_trace` writes a single compressed
 :class:`~repro.trace.trace.Trace`.
 
 The ragged value table is stored as one concatenated float64 array plus
-offsets; regions are stored column-wise with their annotations.
+offsets; regions are stored column-wise with their annotations. Every
+array is plain data (region names are fixed-width unicode), so
+:func:`load_trace` reads archives with ``allow_pickle=False`` and never
+unpickles a user-supplied file.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from repro.trace.record import DType
 from repro.trace.region import Region, RegionMap
 from repro.trace.trace import Trace
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
-#: Arrays every v1 trace file must contain.
+#: Arrays every trace file must contain.
 _REQUIRED_FIELDS = (
     "format_version", "name", "block_size", "cores", "addrs", "is_write",
     "approx", "region_ids", "value_ids", "gaps", "values_flat",
@@ -66,14 +69,13 @@ def save_trace(trace: Trace, path: str) -> None:
         value_offsets=offsets,
         image_addrs=image_addrs,
         image_vids=image_vids,
-        region_names=np.array([r.name for r in regions], dtype=object),
+        region_names=np.array([r.name for r in regions], dtype=np.str_),
         region_base=np.array([r.base for r in regions], dtype=np.int64),
         region_size=np.array([r.size for r in regions], dtype=np.int64),
         region_dtype=np.array([int(r.dtype) for r in regions], dtype=np.int64),
         region_approx=np.array([r.approx for r in regions], dtype=bool),
         region_vmin=np.array([r.vmin for r in regions], dtype=np.float64),
         region_vmax=np.array([r.vmax for r in regions], dtype=np.float64),
-        allow_pickle=True,
     )
 
 
@@ -82,13 +84,14 @@ def load_trace(path: str) -> Trace:
 
     Raises:
         TraceFormatError: the file is missing, not a trace archive, has
-            an unsupported format version, or lacks a required array —
-            always with the file path (and offending field) attached.
+            an unsupported format version, lacks a required array or
+            holds an object (pickled) array — always with the file path
+            (and offending field) attached.
     """
     if not os.path.exists(path):
         raise TraceFormatError("no such trace file", path=path)
     try:
-        archive = np.load(path, allow_pickle=True)
+        archive = np.load(path, allow_pickle=False)
     except Exception as exc:
         raise TraceFormatError(
             f"not a readable .npz trace archive ({exc})", path=path
@@ -114,28 +117,36 @@ def load_trace(path: str) -> Trace:
                 f"(this build reads version {_FORMAT_VERSION})",
                 path=path, field="format_version",
             )
-        n = len(data["addrs"])
+        cols = {}
+        for name in _REQUIRED_FIELDS:
+            try:
+                cols[name] = data[name]
+            except ValueError as exc:  # an object array needs pickle
+                raise TraceFormatError(
+                    f"array is not plain data ({exc})", path=path, field=name
+                ) from exc
+        n = len(cols["addrs"])
         for name in ("is_write", "approx", "region_ids", "value_ids", "gaps",
                      "cores"):
-            if len(data[name]) != n:
+            if len(cols[name]) != n:
                 raise TraceFormatError(
-                    f"column length {len(data[name])} != {n} (addrs)",
+                    f"column length {len(cols[name])} != {n} (addrs)",
                     path=path, field=name,
                 )
 
         regions = RegionMap()
-        names = data["region_names"]
+        names = cols["region_names"]
         for i in range(len(names)):
             try:
                 regions.add(
                     Region(
                         str(names[i]),
-                        int(data["region_base"][i]),
-                        int(data["region_size"][i]),
-                        DType(int(data["region_dtype"][i])),
-                        approx=bool(data["region_approx"][i]),
-                        vmin=float(data["region_vmin"][i]),
-                        vmax=float(data["region_vmax"][i]),
+                        int(cols["region_base"][i]),
+                        int(cols["region_size"][i]),
+                        DType(int(cols["region_dtype"][i])),
+                        approx=bool(cols["region_approx"][i]),
+                        vmin=float(cols["region_vmin"][i]),
+                        vmax=float(cols["region_vmax"][i]),
                     )
                 )
             except (TypeError, ValueError, IndexError) as exc:
@@ -144,25 +155,25 @@ def load_trace(path: str) -> Trace:
                     path=path, line=i, field="region_*",
                 ) from exc
 
-        offsets = data["value_offsets"]
-        flat = data["values_flat"]
+        offsets = cols["value_offsets"]
+        flat = cols["values_flat"]
         values = [
             flat[offsets[i] : offsets[i + 1]] for i in range(len(offsets) - 1)
         ]
         initial_image = dict(
-            zip(data["image_addrs"].tolist(), data["image_vids"].tolist())
+            zip(cols["image_addrs"].tolist(), cols["image_vids"].tolist())
         )
         return Trace(
-            data["name"].item().decode(),
+            cols["name"].item().decode(),
             regions,
-            data["cores"],
-            data["addrs"],
-            data["is_write"],
-            data["approx"],
-            data["region_ids"],
-            data["value_ids"],
-            data["gaps"],
+            cols["cores"],
+            cols["addrs"],
+            cols["is_write"],
+            cols["approx"],
+            cols["region_ids"],
+            cols["value_ids"],
+            cols["gaps"],
             values,
             initial_image,
-            int(data["block_size"]),
+            int(cols["block_size"]),
         )

@@ -98,7 +98,7 @@ class TestTraceErrors:
         assert excinfo.value.field == "format_version"
 
     @staticmethod
-    def _minimal_fields(n=0, version=1):
+    def _minimal_fields(n=0, version=2):
         zeros = np.zeros(n, dtype=np.int64)
         empty_f = np.zeros(0, dtype=np.float64)
         return dict(
@@ -116,7 +116,7 @@ class TestTraceErrors:
             value_offsets=np.zeros(1, dtype=np.int64),
             image_addrs=np.zeros(0, dtype=np.int64),
             image_vids=np.zeros(0, dtype=np.int64),
-            region_names=np.array([], dtype=object),
+            region_names=np.array([], dtype=np.str_),
             region_base=np.zeros(0, dtype=np.int64),
             region_size=np.zeros(0, dtype=np.int64),
             region_dtype=np.zeros(0, dtype=np.int64),
@@ -133,6 +133,17 @@ class TestTraceErrors:
         assert "version 99" in str(excinfo.value)
         assert excinfo.value.field == "format_version"
 
+    def test_object_array_is_refused_unpickled(self, tmp_path):
+        fields = self._minimal_fields()
+        fields["region_names"] = np.array([_PickleBomb()], dtype=object)
+        path = tmp_path / "pickled.npz"
+        np.savez(path, allow_pickle=True, **fields)
+        _PickleBomb.loaded = False
+        with pytest.raises(TraceFormatError) as excinfo:
+            load_trace(str(path))
+        assert excinfo.value.field == "region_names"
+        assert not _PickleBomb.loaded
+
     def test_column_length_mismatch(self, tmp_path):
         fields = self._minimal_fields(n=3)
         fields["is_write"] = np.zeros(2, dtype=bool)
@@ -142,6 +153,21 @@ class TestTraceErrors:
             load_trace(str(path))
         assert excinfo.value.field == "is_write"
         assert excinfo.value.path == str(path)
+
+
+def _mark_unpickled():
+    """Called only if a pickled :class:`_PickleBomb` is ever loaded."""
+    _PickleBomb.loaded = True
+    return _PickleBomb()
+
+
+class _PickleBomb:
+    """An object whose unpickling is observable."""
+
+    loaded = False
+
+    def __reduce__(self):
+        return (_mark_unpickled, ())
 
 
 class TestCLIExitCodes:

@@ -248,7 +248,6 @@ class TestControllerCheckpoint:
         assert controller_state_dir("/c/dir") == os.path.join(
             "/c/dir", "frontier"
         )
-        assert controller_state_dir("/c/j.zip") == "/c/j.frontier"
 
     def _interrupted(self, tmp_path, n_obs):
         """A controller killed after ``n_obs`` observations."""
@@ -403,15 +402,22 @@ class TestFrontierKillAndResume:
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            if glob.glob(str(ckpt / "*.pkl")) or proc.poll() is not None:
-                break
-            time.sleep(0.05)
-        interrupted = proc.poll() is None
-        if interrupted:
-            proc.send_signal(signal.SIGKILL)
+        try:
+            deadline = time.monotonic() + 120
+            while time.monotonic() < deadline:
+                if glob.glob(str(ckpt / "*.pkl")) or proc.poll() is not None:
+                    break
+                time.sleep(0.05)
+            interrupted = proc.poll() is None
+        finally:
+            # Kill the whole session: the CLI, its pool workers and the
+            # progress manager, so none outlives the test.
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
         proc.wait(timeout=60)
 
         # Run 2: resume against the same journal + controller state.

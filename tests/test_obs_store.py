@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cli import main
 from repro.errors import ConfigError
+from repro.obs import store as store_mod
 from repro.obs.store import (
     _SCHEMA_V1,
     SCHEMA_VERSION,
@@ -103,6 +104,72 @@ class TestSchema:
         # Only difference allowed: column order in CREATE TABLE runs
         # (ALTER TABLE appends cpu_s); compare by name set instead.
         assert {n for n, _ in schema(old)} == {n for n, _ in fresh}
+
+    def test_fresh_store_has_no_jobs_table(self, store):
+        names = {
+            row[0] for row in store.query("SELECT name FROM sqlite_master")[1]
+        }
+        assert not {"jobs", "idx_jobs_state"} & names
+
+    def test_v3_store_drops_jobs_keeps_history(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "v3.db")
+        conn = sqlite3.connect(path)
+        for stmt in _SCHEMA_V1:
+            conn.execute(stmt)
+        store_mod._migrate_1_to_2(conn)
+        # The v3 job-queue table exactly as 1.2.0 created it.
+        conn.execute(
+            "CREATE TABLE jobs (id TEXT PRIMARY KEY, submitted_unix REAL "
+            "NOT NULL, started_unix REAL, finished_unix REAL, state TEXT "
+            "NOT NULL, spec TEXT NOT NULL, run_id INTEGER REFERENCES "
+            "runs(id) ON DELETE SET NULL, error TEXT, daemon TEXT)"
+        )
+        conn.execute("CREATE INDEX idx_jobs_state ON jobs(state)")
+        conn.execute("PRAGMA user_version = 3")
+        conn.execute(
+            "INSERT INTO runs (started_unix, engine, finished) "
+            "VALUES (1.0, 'batched', 1)"
+        )
+        conn.execute(
+            "INSERT INTO results (run_id, workload, config, summary) "
+            "VALUES (1, 'kmeans', 'baseline-2MB', '{}')"
+        )
+        conn.execute(
+            "INSERT INTO metrics (run_id, name, value) VALUES (1, 'm', 2.5)"
+        )
+        conn.execute(
+            "INSERT INTO events (run_id, ts_unix, kind) "
+            "VALUES (1, 1.0, 'run_cancelled')"
+        )
+        conn.executemany(
+            "INSERT INTO jobs (id, submitted_unix, state, spec, run_id) "
+            "VALUES (?, 1.0, ?, '{}', ?)",
+            [("a", "done", 1), ("b", "queued", None)],
+        )
+        conn.commit()
+        conn.close()
+
+        with RunStore(path) as store:
+            assert store.schema_version == 4
+            names = {
+                row[0]
+                for row in store.query("SELECT name FROM sqlite_master")[1]
+            }
+            assert not {"jobs", "idx_jobs_state"} & names
+            assert store.run_row(1)["engine"] == "batched"
+            assert store.query("SELECT run_id, workload FROM results")[1] == [
+                (1, "kmeans")
+            ]
+            assert store.query("SELECT name, value FROM metrics")[1] == [
+                ("m", 2.5)
+            ]
+            events = store.events_for(1)
+            assert [e["kind"] for e in events] == ["run_cancelled"]
+
+        # A build that only knows schema v3 refuses the migrated store.
+        monkeypatch.setattr(store_mod, "SCHEMA_VERSION", 3)
+        with pytest.raises(ConfigError, match="newer"):
+            RunStore(path)
 
     def test_newer_schema_is_refused(self, tmp_path):
         path = str(tmp_path / "future.db")

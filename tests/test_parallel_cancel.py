@@ -1,26 +1,32 @@
-"""Cancellation tests for the parallel harness and the strategy driver.
+"""Cancellation tests for the parallel harness and the CLI.
 
-Exercises the chain a serve-daemon ``DELETE /jobs/<id>`` rides:
-:class:`~repro.harness.parallel.CancelToken` → the sweep's poll loop →
-pool teardown → the typed :class:`~repro.errors.Cancelled` (exit code
-130) → the history run's ``run_cancelled`` event.
+Exercises the chain a Ctrl-C on a ``--jobs N`` sweep rides: SIGINT →
+:func:`~repro.harness.parallel.cancellation_signals` → the
+:class:`~repro.harness.parallel.CancelToken` the sweep's poll loop
+watches → pool teardown → the typed :class:`~repro.errors.Cancelled`
+(exit code 130) → the history run's ``run_cancelled`` event.
 """
 
 import os
 import signal
+import sqlite3
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.errors import Cancelled
 from repro.harness.parallel import (
     CancelToken,
+    _new_pool,
+    _terminate_pool,
     cancellation_signals,
     prefetch_runs,
 )
 from repro.harness.runner import ExperimentContext, dopp_spec
-from repro.harness.strategy import run_strategies
 from repro.obs.store import RunStore
 
 
@@ -115,45 +121,77 @@ def small_scale_ctx():
     return ExperimentContext(seed=3, scale=0.05, workloads=["swaptions", "kmeans"])
 
 
-class TestRunStrategiesCancel:
-    def test_cancel_before_strategies_raises(self, tmp_path):
-        token = CancelToken()
-        token.cancel("pre-cancelled")
-        with pytest.raises(Cancelled, match="pre-cancelled"):
-            run_strategies(
-                ["table2"],
-                seed=3,
-                scale=0.05,
-                workloads=["swaptions"],
-                cancel=token,
-            )
+class TestPoolTeardown:
+    def test_terminate_skips_the_join_wait(self):
+        """Workers forked under the cancel handlers still die on SIGTERM."""
+        with cancellation_signals(CancelToken()):
+            pool = _new_pool(1)
+            pool.submit(os.getpid).result(timeout=30)  # worker is up
+            pool.submit(time.sleep, 30)
+            time.sleep(0.2)  # let the worker pick the sleep up
+            start = time.monotonic()
+            _terminate_pool(pool)
+        assert time.monotonic() - start < 2.0
 
-    def test_cancelled_run_journals_partial_history(self, tmp_path):
+
+def _src_path() -> str:
+    """The ``src`` directory for subprocess PYTHONPATH."""
+    return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+def _run_row(store_path: str):
+    """The store's only run row, or None before the CLI has written it."""
+    if not os.path.exists(store_path):
+        return None
+    try:
+        with sqlite3.connect(store_path) as conn:
+            return conn.execute("SELECT id, finished FROM runs").fetchone()
+    except sqlite3.Error:  # schema not created yet
+        return None
+
+
+class TestRunStrategiesCancel:
+    def test_sigint_mid_prefetch_records_cancelled_run(self, tmp_path):
+        """Ctrl-C on a ``--jobs 2`` CLI sweep: exit 130, unfinished run."""
         store_path = str(tmp_path / "history.db")
-        token = CancelToken()
-        token.cancel("client asked")
-        with pytest.raises(Cancelled) as excinfo:
-            run_strategies(
-                ["table2"],
-                seed=3,
-                scale=0.05,
-                workloads=["swaptions"],
-                store_path=store_path,
-                record_history=True,
-                argv=["test"],
-                cancel=token,
-            )
-        run_id = excinfo.value.run_id
-        assert run_id is not None
+        env = dict(os.environ, PYTHONPATH=_src_path())
+        env.pop("REPRO_STORE", None)
+        # The prefetch of this sweep takes well over 10 s.
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "fig10",
+                "--workloads", "kmeans", "canneal", "--scale", "0.5",
+                "--seed", "3", "--jobs", "2", "--store", store_path,
+                "--json-out", str(tmp_path / "json"),
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while _run_row(store_path) is None and proc.poll() is None:
+                assert time.monotonic() < deadline, "run row never appeared"
+                time.sleep(0.05)
+            time.sleep(1.5)  # past the run row, into the worker pool
+            assert proc.poll() is None, "sweep ended before the SIGINT"
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        assert proc.returncode == 130, err.decode()
 
         store = RunStore(store_path)
-        runs = {r["id"]: r for r in store.list_runs()}
-        assert runs[run_id]["finished"] == 0
-        events = store.events_for(run_id)
-        cancelled = [e for e in events if e["kind"] == "run_cancelled"]
-        assert len(cancelled) == 1
-        assert "client asked" in cancelled[0]["reason"]
+        (run,) = store.list_runs()
+        assert run["finished"] == 0
+        cancelled = store.events_for(run["id"], "run_cancelled")
         store.close()
+        assert len(cancelled) == 1
+        assert "SIGINT" in cancelled[0]["reason"]
 
     def test_exit_code(self):
         assert Cancelled("x").exit_code == 130

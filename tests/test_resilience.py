@@ -492,6 +492,21 @@ class TestCheckpoint:
         assert open_journal("", swaptions_ctx) is None
         assert open_journal(None, swaptions_ctx) is None
 
+    def test_checkpoint_path_that_is_a_file_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        stale = tmp_path / "ckpt.zip"
+        stale.write_bytes(b"PK\x05\x06" + bytes(18))  # an old zip journal
+        code = main(
+            ["table2", "--workloads", "swaptions", "--scale", str(SCALE),
+             "--checkpoint-dir", str(stale), "--no-store"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "not a directory" in err
+        assert "Traceback" not in err
+        assert stale.read_bytes() == b"PK\x05\x06" + bytes(18)
+
 
 class TestKillAndResume:
     """End-to-end: a SIGKILLed sweep resumes byte-identically."""
@@ -534,15 +549,22 @@ class TestKillAndResume:
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            if glob.glob(str(ckpt / "*.pkl")) or proc.poll() is not None:
-                break
-            time.sleep(0.05)
-        interrupted = proc.poll() is None
-        if interrupted:
-            proc.send_signal(signal.SIGKILL)
+        try:
+            deadline = time.monotonic() + 120
+            while time.monotonic() < deadline:
+                if glob.glob(str(ckpt / "*.pkl")) or proc.poll() is not None:
+                    break
+                time.sleep(0.05)
+            interrupted = proc.poll() is None
+        finally:
+            # Kill the whole session: the CLI, its pool workers and the
+            # progress manager, so none outlives the test.
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
         proc.wait(timeout=60)
 
         # Run 2: resume against the same journal.
