@@ -21,7 +21,7 @@ See ``examples/quickstart.py`` for a complete runnable tour.
 
 from typing import TYPE_CHECKING
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 #: Lazily resolved exports (PEP 562): attribute -> defining module.
 #: Keeps ``import repro`` light — the simulator only loads when used.

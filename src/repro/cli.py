@@ -405,13 +405,6 @@ def _common_options() -> argparse.ArgumentParser:
         default=1,
         help="prefetch simulations across N worker processes (default 1)",
     )
-    common.add_argument(
-        "--no-split-fans",
-        action="store_true",
-        help="keep one --jobs task per workload instead of splitting a "
-        "workload's config fan across idle workers (results are "
-        "identical either way)",
-    )
     resil = common.add_argument_group(
         "resilience", "crash-tolerant sweeps (docs/robustness.md)"
     )
@@ -433,7 +426,7 @@ def _common_options() -> argparse.ArgumentParser:
         "--checkpoint-dir",
         default=None,
         help="journal each completed (workload, config) result here so "
-        "an interrupted --jobs sweep can be resumed",
+        "an interrupted sweep can be resumed (any --jobs)",
     )
     resil.add_argument(
         "--resume",
@@ -778,7 +771,6 @@ def _run_pipeline(parser, args, names, argv) -> int:
         engine=args.engine,
         faults=faults,
         jobs=args.jobs,
-        split_fans=not args.no_split_fans,
         timeout=args.timeout,
         retries=args.retries,
         checkpoint_dir=args.checkpoint_dir,

@@ -149,6 +149,13 @@ class DoppelgangerCache:
         # each computation for the energy model.
         self._map_memo: dict = {}
 
+    def __getstate__(self) -> dict:
+        """Pickle without the tracer: it is a live channel (an open
+        JSONL sink, say), not cache state."""
+        state = self.__dict__.copy()
+        state["tracer"] = None
+        return state
+
     def publish_metrics(self, registry, prefix: str = "dopp") -> None:
         """Publish protocol counters and array occupancies."""
         self.stats.publish(registry, f"{prefix}.stats")

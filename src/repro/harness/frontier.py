@@ -12,11 +12,12 @@ saved vs. output error vs. survivable fault rate, per workload.
 
 Workload searches are independent, so with ``--jobs N`` each round's
 probes fan across worker processes
-(:func:`~repro.harness.parallel.prefetch_pairs`); with a
-``--checkpoint-dir`` every probe's simulation lands in the sweep
-journal and every controller decision in an atomic per-workload state
-file, so a SIGKILL'd search resumes mid-bracket with byte-identical
-results. Controller decisions are traced as ``controller_step`` /
+(:func:`~repro.harness.parallel.prefetch_runs`). With a
+``--checkpoint-dir`` every probe's simulation and error land in the
+sweep journal as they enter the context's memo, so a SIGKILL'd search
+resumed with ``--resume`` re-probes the finished steps as memo hits
+and converges byte-identically, its decisions stored in the same
+order. Controller decisions are traced as ``controller_step`` /
 ``controller_degrade`` / ``controller_converged`` events and the
 frontier lands in per-workload gauges.
 
@@ -41,7 +42,6 @@ from repro.resilience.controller import (
     ErrorBudgetController,
     FrontierOptions,
     FrontierResult,
-    controller_state_dir,
 )
 from repro.resilience.energy import (
     VoltageStep,
@@ -67,27 +67,6 @@ def _step_spec(step: VoltageStep, options: FrontierOptions) -> ConfigSpec:
     )
 
 
-def _build_controllers(
-    ctx: ExperimentContext, options: FrontierOptions, ladder
-) -> Dict[str, ErrorBudgetController]:
-    """One controller per workload, resuming checkpointed searches."""
-    from repro.resilience.checkpoint import context_fingerprint
-
-    state_dir = controller_state_dir(getattr(ctx, "checkpoint_dir", None))
-    return {
-        name: ErrorBudgetController(
-            name,
-            ladder,
-            options,
-            state_dir=state_dir,
-            context_meta=context_fingerprint(ctx),
-            tracer=ctx.obs.tracer,
-            event_log=getattr(ctx, "pending_events", None),
-        )
-        for name in ctx.names
-    }
-
-
 def _run_search(
     ctx: ExperimentContext, options: FrontierOptions, ladder
 ) -> List[FrontierResult]:
@@ -98,8 +77,16 @@ def _run_search(
     pairs fan across worker processes before the controllers observe
     the results sequentially (deterministic order: ``ctx.names``).
     """
-    controllers = _build_controllers(ctx, options, ladder)
-    journal = getattr(ctx, "journal", None)
+    controllers = {
+        name: ErrorBudgetController(
+            name,
+            ladder,
+            options,
+            tracer=ctx.obs.tracer,
+            event_log=ctx.pending_events,
+        )
+        for name in ctx.names
+    }
     while True:
         pending = [
             (name, step)
@@ -108,38 +95,22 @@ def _run_search(
         ]
         if not pending:
             break
-        jobs = getattr(ctx, "jobs", 1)
-        if jobs > 1:
-            from repro.harness.parallel import prefetch_pairs
+        if ctx.jobs > 1:
+            from repro.harness.parallel import prefetch_runs
 
             pairs = [(name, _step_spec(step, options)) for name, step in pending]
-            prefetch_pairs(
-                ctx,
-                run_pairs=pairs,
-                error_pairs=pairs,
-                jobs=jobs,
-                timeout=getattr(ctx, "timeout", None),
-                retries=getattr(ctx, "retries", 0),
-                journal=journal,
+            prefetch_runs(
+                ctx, pairs, pairs, ctx.jobs,
+                timeout=ctx.timeout, retries=ctx.retries,
             )
         for name, step in pending:
-            spec = ctx.apply_faults(_step_spec(step, options))
-            fresh_run = (name, spec) not in ctx._runs
-            fresh_error = (name, spec) not in ctx._errors
+            spec = _step_spec(step, options)
             error = ctx.error(name, spec)
-            record = ctx.run(name, spec)
-            # The prefetch journals worker-computed pairs; journal the
-            # sequentially-computed ones too so a killed single-job
-            # search also resumes without re-simulating.
-            if journal is not None and fresh_run:
-                journal.record_run(name, spec, record)
-            if journal is not None and fresh_error:
-                journal.record_error(name, spec, error)
             controllers[name].observe(
                 step.index,
                 error=error,
                 energy_saved=energy_saved_fraction(
-                    record, step, ctx.energy_model
+                    ctx.run(name, spec), step, ctx.energy_model
                 ),
             )
     return [controllers[name].result() for name in ctx.names]

@@ -3,11 +3,13 @@
 The per-(workload, config) pipeline — trace generation, simulation,
 energy accounting and error evaluation — is embarrassingly parallel:
 runs never share mutable state, only the memo dictionaries inside
-:class:`~repro.harness.runner.ExperimentContext`. This module fans the
-pairs a set of experiments will need out across worker processes and
+:class:`~repro.harness.runner.ExperimentContext`. :func:`prefetch_runs`
+fans explicit (workload, config) pairs out across worker processes and
 merges the finished :class:`~repro.harness.runner.RunRecord` objects
 back into the parent context's memo, so the (sequential) experiment
-drivers then find every simulation already cached.
+drivers then find every simulation already cached. The generic driver
+passes every workload under every planned config; the frontier search
+passes each workload's own probe of the round.
 
 Determinism: each worker rebuilds its context from the same
 (seed, scale, engine) triple, so a run computed in a child is
@@ -25,8 +27,7 @@ few workloads on many cores — each workload's config fan is split
 into (workload, config-chunk) units so every worker gets a slice;
 each chunk worker regenerates its workload's trace, a cost that only
 pays off when cores would otherwise sit idle, which is exactly the
-case the split is gated on. ``--no-split-fans`` restores
-one-task-per-workload.
+case the split is gated on.
 
 Resilience (``docs/robustness.md``): a worker that dies (OOM kill,
 segfault) or exceeds ``timeout`` no longer hangs or poisons the whole
@@ -34,9 +35,11 @@ sweep — the pool is torn down, finished results are kept, and the
 failed workloads are retried up to ``retries`` times with exponential
 backoff; the final failure is a typed
 :class:`~repro.errors.SimulationFault` naming every (workload, config)
-that could not be computed. An optional
-:class:`~repro.resilience.checkpoint.SweepJournal` persists each
-merged record so an interrupted sweep resumes instead of restarting.
+that could not be computed. Merged records enter the memo through
+:meth:`~repro.harness.runner.ExperimentContext.keep_run`, which
+journals them when the context has a
+:class:`~repro.resilience.checkpoint.SweepJournal`, so an interrupted
+sweep resumes instead of restarting.
 
 Cancellation: every prefetch runs under a :class:`CancelToken`. While
 the pool is live, SIGINT/SIGTERM are routed through
@@ -160,27 +163,6 @@ def _wait_result(future, timeout: Optional[float], cancel: Optional[CancelToken]
             return future.result(timeout=slice_s)
         except FutureTimeout:
             continue
-
-
-def plan_specs(experiment_names: Sequence[str]) -> Tuple[List[ConfigSpec], List[ConfigSpec]]:
-    """The (run specs, error specs) a set of experiments will request.
-
-    Read straight off each registered strategy's ``requires`` metadata
-    (see :class:`repro.harness.strategy.Requirements`) — strategies
-    that need no simulation (config-only analyses, snapshot studies)
-    simply declare empty spec tuples. Deduped preserving first-seen
-    order, so the shared baseline simulates once across the sweep.
-    """
-    from repro.harness.strategy import registry
-
-    runs: List[ConfigSpec] = []
-    errors: List[ConfigSpec] = []
-    for name in experiment_names:
-        requires = registry.get(name).requires
-        runs += list(requires.run_specs)
-        errors += list(requires.error_specs)
-    # Dedupe, preserving first-seen order (dict keys are ordered).
-    return list(dict.fromkeys(runs)), list(dict.fromkeys(errors))
 
 
 def _run_task(task: dict):
@@ -360,28 +342,30 @@ def _run_round(
 
 def prefetch_runs(
     ctx: ExperimentContext,
-    experiment_names: Sequence[str],
-    jobs: int,
-    run_specs: Optional[Sequence[ConfigSpec]] = None,
-    error_specs: Optional[Sequence[ConfigSpec]] = None,
+    run_pairs: Sequence[Tuple[str, ConfigSpec]] = (),
+    error_pairs: Sequence[Tuple[str, ConfigSpec]] = (),
+    jobs: int = 1,
     *,
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff: float = 1.0,
-    journal=None,
-    split_fans: bool = True,
     progress=None,
     cancel: Optional[CancelToken] = None,
 ) -> int:
-    """Simulate everything ``experiment_names`` will need, in parallel.
+    """Simulate explicit (workload, spec) pairs across worker processes.
 
-    Fans one task per workload (covering all its configs) across
-    ``jobs`` worker processes and merges the results into ``ctx``'s
-    memo dictionaries. Pairs already memoized are skipped. Returns the
-    number of (workload, config) simulations fetched.
-
-    ``run_specs`` / ``error_specs`` override the experiment-derived
-    plan (used by :func:`repro.api.simulate` callers and tests).
+    Groups the pairs into one task per workload (in ``ctx.names``
+    order, specs in first-seen order), fans the tasks across ``jobs``
+    worker processes and merges the results into ``ctx``'s memo
+    dictionaries. Pairs already memoized, duplicate pairs, workloads
+    outside ``ctx.names`` and baseline error pairs (0 by definition)
+    are skipped; fault configs are resolved through
+    :meth:`~repro.harness.runner.ExperimentContext.apply_faults` first
+    so worker memo keys, parent memo keys and journal digests agree.
+    When there are fewer tasks than ``jobs``, each workload's config
+    fan is split across the idle workers (see :func:`_split_fan`;
+    results are identical either way). Returns the number of
+    (workload, config) simulations fetched.
 
     Args:
         timeout: seconds allowed per workload task, measured from the
@@ -390,15 +374,6 @@ def prefetch_runs(
         retries: rounds to re-run failed tasks in a fresh pool.
         backoff: base delay before retry ``k``, growing as
             ``backoff * 2**(k-1)`` seconds.
-        split_fans: when there are fewer workloads than ``jobs``, split
-            each workload's config fan into (workload, config-chunk)
-            units so every worker gets a slice (see :func:`_split_fan`;
-            results are identical either way). False restores
-            one-task-per-workload.
-        journal: optional
-            :class:`~repro.resilience.checkpoint.SweepJournal`; every
-            merged record is journaled as it lands, so a killed sweep
-            resumes from its last completed (workload, config).
         progress: optional
             :class:`~repro.obs.livestream.LiveProgressSink`; workers
             then emit heartbeats (unit, accesses/sec, slow-path
@@ -415,36 +390,37 @@ def prefetch_runs(
         Cancelled: the token was set; completed records were merged
             (and journaled) before raising.
     """
-    if run_specs is None or error_specs is None:
-        planned_runs, planned_errors = plan_specs(experiment_names)
-        run_specs = planned_runs if run_specs is None else list(run_specs)
-        error_specs = planned_errors if error_specs is None else list(error_specs)
-    # Resolve context-default faults up front so worker memo keys,
-    # parent memo keys and checkpoint digests all agree.
-    run_specs = list(dict.fromkeys(ctx.apply_faults(s) for s in run_specs))
-    error_specs = list(dict.fromkeys(ctx.apply_faults(s) for s in error_specs))
+    needs: Dict[str, Tuple[List[ConfigSpec], List[ConfigSpec]]] = {}
+
+    def _need(name: str, spec: ConfigSpec, side: int, memo: dict) -> None:
+        """Queue one unmemoized (workload, spec) pair for its task."""
+        spec = ctx.apply_faults(spec)
+        bucket = needs.setdefault(name, ([], []))[side]
+        if (name, spec) not in memo and spec not in bucket:
+            bucket.append(spec)
+
+    for name, spec in run_pairs:
+        _need(name, spec, 0, ctx._runs)
+    for name, spec in error_pairs:
+        if spec.kind != "baseline":  # baseline error is 0 by definition
+            _need(name, spec, 1, ctx._errors)
     tasks = []
     for name in ctx.names:
-        need_runs = [s for s in run_specs if (name, s) not in ctx._runs]
-        need_errors = [
-            s
-            for s in error_specs
-            if s.kind != "baseline" and (name, s) not in ctx._errors
-        ]
-        if need_runs or need_errors:
+        run_specs, error_specs = needs.get(name, ((), ()))
+        if run_specs or error_specs:
             tasks.append(
                 {
                     "workload": name,
                     "seed": ctx.seed,
                     "scale": ctx.scale,
                     "engine": ctx.engine,
-                    "run_specs": need_runs,
-                    "error_specs": need_errors,
+                    "run_specs": list(run_specs),
+                    "error_specs": list(error_specs),
                 }
             )
     if not tasks:
         return 0
-    if split_fans and len(tasks) < int(jobs):
+    if len(tasks) < int(jobs):
         want = -(-int(jobs) // len(tasks))  # ceil: chunks per workload
         units: List[dict] = []
         for task in tasks:
@@ -480,7 +456,6 @@ def prefetch_runs(
         for task in tasks:
             task["progress"] = channel
         progress.start(channel)
-    fetched = 0
     workers = max(1, min(int(jobs), len(tasks)))
     log.info(
         "prefetching %d workload tasks across %d workers", len(tasks), workers
@@ -488,91 +463,14 @@ def prefetch_runs(
     token = cancel if cancel is not None else CancelToken()
     try:
         with cancellation_signals(token):
-            fetched = _prefetch_rounds(
-                ctx, tasks, workers, timeout, retries, backoff, journal,
-                cancel=token,
+            return _prefetch_rounds(
+                ctx, tasks, workers, timeout, retries, backoff, cancel=token
             )
     finally:
         if progress is not None:
             progress.stop()
         if manager is not None:
             manager.shutdown()
-    return fetched
-
-
-def prefetch_pairs(
-    ctx: ExperimentContext,
-    run_pairs: Sequence[Tuple[str, ConfigSpec]] = (),
-    error_pairs: Sequence[Tuple[str, ConfigSpec]] = (),
-    jobs: int = 1,
-    *,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    backoff: float = 1.0,
-    journal=None,
-    cancel: Optional[CancelToken] = None,
-) -> int:
-    """Fan explicit (workload, spec) pairs across worker processes.
-
-    :func:`prefetch_runs` fans a *cartesian* plan — every workload
-    under every spec. Adaptive strategies (the frontier controller's
-    per-workload searches) need the transpose: each workload probes
-    its own spec this round. This entry point takes the explicit pair
-    lists, groups them into one task per workload and reuses the same
-    retry/backoff/journal machinery, so independent searches advance
-    in parallel with the full crash tolerance of the generic prefetch.
-
-    Pairs already memoized in ``ctx`` are skipped; fault configs are
-    resolved through :meth:`ExperimentContext.apply_faults` first so
-    worker and parent memo keys agree. Returns the number of
-    simulations fetched.
-
-    Raises:
-        SimulationFault: a task still failing after every retry.
-        Cancelled: the ``cancel`` token (or a signal routed onto the
-            per-call token) was set mid-round.
-    """
-    needs: Dict[str, Tuple[List[ConfigSpec], List[ConfigSpec]]] = {}
-
-    def _need(name: str, spec: ConfigSpec, side: int, memo: dict) -> None:
-        """Queue one unmemoized (workload, spec) pair for its task."""
-        spec = ctx.apply_faults(spec)
-        bucket = needs.setdefault(name, ([], []))[side]
-        if (name, spec) not in memo and spec not in bucket:
-            bucket.append(spec)
-
-    for name, spec in run_pairs:
-        _need(name, spec, 0, ctx._runs)
-    for name, spec in error_pairs:
-        if spec.kind != "baseline":  # baseline error is 0 by definition
-            _need(name, spec, 1, ctx._errors)
-    tasks = []
-    for name in ctx.names:
-        run_specs, error_specs = needs.get(name, ((), ()))
-        if run_specs or error_specs:
-            tasks.append(
-                {
-                    "workload": name,
-                    "seed": ctx.seed,
-                    "scale": ctx.scale,
-                    "engine": ctx.engine,
-                    "run_specs": list(run_specs),
-                    "error_specs": list(error_specs),
-                    "unit": name,
-                }
-            )
-    if not tasks:
-        return 0
-    workers = max(1, min(int(jobs), len(tasks)))
-    log.info(
-        "prefetching %d pair tasks across %d workers", len(tasks), workers
-    )
-    token = cancel if cancel is not None else CancelToken()
-    with cancellation_signals(token):
-        return _prefetch_rounds(
-            ctx, tasks, workers, timeout, retries, backoff, journal,
-            cancel=token,
-        )
 
 
 def _prefetch_rounds(
@@ -582,7 +480,6 @@ def _prefetch_rounds(
     timeout: Optional[float],
     retries: int,
     backoff: float,
-    journal,
     cancel: Optional[CancelToken] = None,
 ) -> int:
     """Run the retry loop of :func:`prefetch_runs`; returns runs fetched.
@@ -601,14 +498,10 @@ def _prefetch_rounds(
             )
             for task, (name, runs, errors) in completed:
                 for spec, record in runs:
-                    ctx._runs[(name, spec)] = record
+                    ctx.keep_run(name, spec, record)
                     fetched += 1
-                    if journal is not None:
-                        journal.record_run(name, spec, record)
                 for spec, err in errors.items():
-                    ctx._errors[(name, spec)] = err
-                    if journal is not None:
-                        journal.record_error(name, spec, err)
+                    ctx.keep_error(name, spec, err)
             if cancel is not None and cancel.cancelled():
                 raise Cancelled(
                     f"sweep cancelled ({cancel.reason}); "

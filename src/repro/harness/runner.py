@@ -387,8 +387,10 @@ class ExperimentContext:
         self.jobs = 1
         self.timeout: Optional[float] = None
         self.retries = 0
+        #: Optional :class:`~repro.resilience.checkpoint.SweepJournal`;
+        #: every result entering the memo is journaled to it (see
+        #: :meth:`keep_run`).
         self.journal = None
-        self.checkpoint_dir: Optional[str] = None
         self.strategy_options: Dict[str, object] = {}
         #: Event dicts (each with a ``kind``) strategies queue for the
         #: run-history store — how controller decisions become
@@ -503,6 +505,29 @@ class ExperimentContext:
             getattr(system, "engine_stats", None),
         )
 
+    def keep_run(
+        self, name: str, spec: ConfigSpec, record: RunRecord
+    ) -> RunRecord:
+        """Enter one completed simulation into the memo.
+
+        The one path results take into the memo, whether simulated
+        here (:meth:`run`) or merged from a ``--jobs`` worker
+        (:func:`repro.harness.parallel.prefetch_runs`), so with
+        :attr:`journal` set every result reaches disk at any job count.
+        """
+        self._runs[(name, spec)] = record
+        if self.journal is not None:
+            self.journal.record_run(name, spec, record)
+        return record
+
+    def keep_error(self, name: str, spec: ConfigSpec, error: float) -> float:
+        """Enter one completed error evaluation into the memo (see
+        :meth:`keep_run`)."""
+        self._errors[(name, spec)] = error
+        if self.journal is not None:
+            self.journal.record_error(name, spec, error)
+        return error
+
     def run(self, name: str, spec: ConfigSpec) -> RunRecord:
         """Simulate one (workload, config); memoized."""
         spec = self.apply_faults(spec)
@@ -519,13 +544,13 @@ class ExperimentContext:
                 wall_ns = perf_counter_ns() - start_ns
             with self.obs.profiler.phase(f"energy/{name}/{label}"):
                 energy = self.energy_model.dynamic_energy(llc, cycles=result.cycles)
-            self._runs[key] = RunRecord(
+            return self.keep_run(name, spec, RunRecord(
                 spec=spec, system=result, energy=energy, llc=llc,
                 wall_ns=wall_ns, accesses=len(trace),
                 faults=injector.summary() if injector is not None else None,
                 engine_used=engine_used,
                 engine_stats=engine_stats,
-            )
+            ))
         return self._runs[key]
 
     def error(self, name: str, spec: ConfigSpec) -> float:
@@ -556,7 +581,9 @@ class ExperimentContext:
             approximator = spec.approximator(self.size_factor)
             with self.obs.profiler.phase(f"error/{name}/{spec.label()}"):
                 approx_out = workload.run(approximator)
-            self._errors[key] = workload.error(self._precise_outputs[name], approx_out)
+            return self.keep_error(
+                name, spec, workload.error(self._precise_outputs[name], approx_out)
+            )
         return self._errors[key]
 
     def normalized_runtime(self, name: str, spec: ConfigSpec) -> float:

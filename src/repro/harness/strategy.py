@@ -86,9 +86,9 @@ Tables = Dict[str, Table]
 class Requirements:
     """What a strategy needs from the harness, as inert metadata.
 
-    The generic driver (:func:`run_strategies`) and the parallel
-    prefetcher (:func:`repro.harness.parallel.plan_specs`) consume
-    this instead of switching on experiment names.
+    The generic driver (:func:`run_strategies`) plans its parallel
+    prefetch from this (:func:`plan_pairs`) instead of switching on
+    experiment names.
 
     Attributes:
         context: whether the strategy needs an
@@ -424,11 +424,27 @@ def _cpu_seconds(start) -> float:
     return sum(end[:4]) - sum(start[:4])
 
 
-def _plan_from(strategies: Sequence[ExperimentStrategy]):
-    """Union of the strategies' spec requirements, first-seen order."""
-    runs = [s for strat in strategies for s in strat.requires.run_specs]
-    errors = [s for strat in strategies for s in strat.requires.error_specs]
-    return list(dict.fromkeys(runs)), list(dict.fromkeys(errors))
+def plan_pairs(
+    strategies: Sequence[ExperimentStrategy], names: Sequence[str]
+) -> Tuple[List[Tuple[str, ConfigSpec]], List[Tuple[str, ConfigSpec]]]:
+    """The (run pairs, error pairs) a batch of strategies will request.
+
+    Read off each strategy's ``requires`` metadata (config-only
+    strategies declare empty spec tuples) and expanded over the
+    workload ``names``, workload-major. Specs are deduped in
+    first-seen order, so the shared baseline simulates once per
+    workload across the batch.
+    """
+    runs = dict.fromkeys(
+        s for strat in strategies for s in strat.requires.run_specs
+    )
+    errors = dict.fromkeys(
+        s for strat in strategies for s in strat.requires.error_specs
+    )
+    return (
+        [(name, spec) for name in names for spec in runs],
+        [(name, spec) for name in names for spec in errors],
+    )
 
 
 def _start_history_run(store_path, argv, names, options) -> tuple:
@@ -587,7 +603,6 @@ def run_strategies(
     engine: Optional[str] = None,
     faults=None,
     jobs: int = 1,
-    split_fans: bool = True,
     timeout: Optional[float] = None,
     retries: int = 0,
     checkpoint_dir: Optional[str] = None,
@@ -610,11 +625,13 @@ def run_strategies(
 
     * **context** — built only when some strategy requires one;
     * **prefetch** — with ``jobs > 1``, the union of the strategies'
-      ``requires.run_specs`` / ``error_specs`` fans across a process
-      pool (config fans split across idle workers unless
-      ``split_fans=False``), with ``timeout``/``retries`` resilience;
-    * **checkpointing** — ``checkpoint_dir`` journals every completed
-      (workload, config); ``resume`` loads finished pairs first;
+      ``requires.run_specs`` / ``error_specs`` over every workload
+      (:func:`plan_pairs`) fans across a process pool (config fans
+      split across idle workers), with ``timeout``/``retries``
+      resilience;
+    * **checkpointing** — ``checkpoint_dir`` journals every
+      (workload, config) result as it enters the context's memo, at
+      any ``jobs``; ``resume`` loads finished pairs first;
     * **observability** — each strategy runs in its own profiler
       phase, and declared metrics are pre-registered;
     * **history** — with ``record_history``, the invocation lands in
@@ -702,18 +719,18 @@ def run_strategies(
     if ctx is not None:
         # Publish the harness execution knobs so strategies that
         # orchestrate their own fan-out (e.g. frontier's adaptive
-        # search) reuse the same jobs/journal/resilience settings.
+        # search) reuse the same jobs/resilience settings; the journal
+        # records every result that enters the memo from here on.
         ctx.jobs = jobs
         ctx.timeout = timeout
         ctx.retries = retries
         ctx.journal = journal
-        ctx.checkpoint_dir = checkpoint_dir
         ctx.strategy_options = dict(strategy_options or {})
     result = StrategyRunResult(ctx=ctx, run_id=run_id)
     try:
         if jobs > 1 and ctx is not None:
-            run_specs, error_specs = _plan_from(resolved)
-            if run_specs or error_specs:
+            run_pairs, error_pairs = plan_pairs(resolved, ctx.names)
+            if run_pairs or error_pairs:
                 from repro.harness.parallel import prefetch_runs
 
                 if obs.enabled and echo:
@@ -724,14 +741,11 @@ def run_strategies(
                     )
                 fetched = prefetch_runs(
                     ctx,
-                    [],
+                    run_pairs,
+                    error_pairs,
                     jobs,
-                    run_specs=run_specs,
-                    error_specs=error_specs,
                     timeout=timeout,
                     retries=retries,
-                    journal=journal,
-                    split_fans=split_fans,
                     progress=progress,
                 )
                 if progress is not None and echo:

@@ -14,17 +14,22 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from time import perf_counter_ns
-from typing import Dict, Optional
+from typing import Dict, List
 
 
 class PhaseStat:
-    """Accumulated time of one named phase."""
+    """Accumulated time of one named phase.
 
-    __slots__ = ("total_ns", "count")
+    ``total_ns`` is inclusive of phases nested inside this one;
+    ``self_ns`` excludes them, so self times never overlap.
+    """
+
+    __slots__ = ("total_ns", "self_ns", "count")
 
     def __init__(self):
         """Start at zero time, zero entries."""
         self.total_ns = 0
+        self.self_ns = 0
         self.count = 0
 
     @property
@@ -51,6 +56,8 @@ class PhaseProfiler:
         self.enabled = enabled
         self.tracer = tracer
         self._phases: Dict[str, PhaseStat] = {}
+        #: Nanoseconds spent in child phases, one entry per open phase.
+        self._open: List[int] = []
 
     @contextmanager
     def phase(self, name: str):
@@ -58,15 +65,20 @@ class PhaseProfiler:
         if not self.enabled:
             yield
             return
+        self._open.append(0)
         start = perf_counter_ns()
         try:
             yield
         finally:
             elapsed = perf_counter_ns() - start
+            children = self._open.pop()
+            if self._open:
+                self._open[-1] += elapsed
             stat = self._phases.get(name)
             if stat is None:
                 stat = self._phases[name] = PhaseStat()
             stat.total_ns += elapsed
+            stat.self_ns += elapsed - children
             stat.count += 1
             if self.tracer is not None and self.tracer.enabled:
                 self.tracer.emit("phase", name=name, ns=elapsed)
@@ -85,18 +97,16 @@ class PhaseProfiler:
         )
 
     def by_stage(self) -> Dict[str, float]:
-        """Seconds per top-level stage (first path component)."""
+        """Seconds per top-level stage (first path component).
+
+        Sums each phase's self time, so a phase nested in another
+        (``sim/...`` inside ``experiment/...``) counts once, toward its
+        own stage.
+        """
         stages: Dict[str, float] = {}
         for name, stat in self._phases.items():
             stage = name.split("/", 1)[0]
-            # Only leaves count toward a stage to avoid double-counting
-            # when a parent phase with the same prefix is also recorded.
-            if any(
-                other != name and other.startswith(name + "/")
-                for other in self._phases
-            ):
-                continue
-            stages[stage] = stages.get(stage, 0.0) + stat.seconds
+            stages[stage] = stages.get(stage, 0.0) + stat.self_ns / 1e9
         return stages
 
     def report(self) -> dict:
@@ -132,6 +142,7 @@ class PhaseProfiler:
             if mine is None:
                 mine = self._phases[name] = PhaseStat()
             mine.total_ns += stat.total_ns
+            mine.self_ns += stat.self_ns
             mine.count += stat.count
 
     def reset(self) -> None:

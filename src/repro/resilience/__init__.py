@@ -11,7 +11,7 @@ Five pillars (see ``docs/robustness.md``):
 * :mod:`repro.resilience.controller` — the closed-loop
   :class:`ErrorBudgetController` searching the voltage ladder for the
   max survivable fault rate within a declared error budget, with
-  graceful degradation and mid-bracket checkpoint/resume;
+  graceful degradation (it resumes through the sweep journal);
 * :mod:`repro.resilience.checkpoint` — a crash-tolerant journal of
   completed (workload, config) results so killed sweeps resume
   byte-identically (``--resume``);
@@ -25,7 +25,6 @@ from repro.resilience.controller import (
     ErrorBudgetController,
     FrontierOptions,
     FrontierResult,
-    controller_state_dir,
 )
 from repro.resilience.energy import (
     VoltageStep,
@@ -54,7 +53,6 @@ __all__ = [
     "ErrorBudgetController",
     "FrontierOptions",
     "FrontierResult",
-    "controller_state_dir",
     "SweepJournal",
     "context_fingerprint",
     "open_journal",

@@ -204,17 +204,6 @@ def voltage_ladder(
     return tuple(ladder)
 
 
-def ladder_fingerprint(ladder: Tuple[VoltageStep, ...]) -> dict:
-    """The knobs that determine a ladder (controller checkpoint guard)."""
-    return {
-        "steps": len(ladder),
-        "v_nom": ladder[0].vdd,
-        "v_min": ladder[-1].vdd,
-        "p_bit_nom": P_BIT_NOM,
-        "decade_v": DECADE_V,
-    }
-
-
 def approx_energy_shares(record, model=None) -> Tuple[float, float]:
     """Shares of one run's LLC energy owned by the approximate array.
 

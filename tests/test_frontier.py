@@ -1,13 +1,13 @@
 """Tests for the energy/fault frontier: voltage ladder, controller,
-checkpointed resume, and the ``frontier`` experiment end-to-end.
+journaled resume, and the ``frontier`` experiment end-to-end.
 
 Unit tests drive the :class:`ErrorBudgetController` with synthetic
 error curves (no simulation) to pin the bracketing search, graceful
-degradation, hysteresis, eval caps and state checkpointing. The
-integration test SIGKILLs a real ``repro frontier`` CLI run mid-search
-and asserts the resumed run reproduces an uninterrupted one
-byte-identically, with the controller's decisions recorded in the
-run-history store.
+degradation, hysteresis and eval caps. The integration tests SIGKILL a
+real ``repro frontier`` CLI run mid-search and resume it from the
+sweep journal, asserting the resumed run reproduces an uninterrupted
+one byte-identically — tables and the ordered controller decisions in
+the run-history store.
 """
 
 import glob
@@ -26,7 +26,6 @@ from repro.resilience.controller import (
     ErrorBudgetController,
     FrontierOptions,
     FrontierResult,
-    controller_state_dir,
 )
 from repro.resilience.energy import (
     MIN_READ_RATE,
@@ -242,86 +241,6 @@ class TestErrorBudgetController:
         assert res.survivable_rate == self.LADDER[4].read_rate
 
 
-class TestControllerCheckpoint:
-    def test_state_dir_layout(self, tmp_path):
-        assert controller_state_dir(None) is None
-        assert controller_state_dir("/c/dir") == os.path.join(
-            "/c/dir", "frontier"
-        )
-
-    def _interrupted(self, tmp_path, n_obs):
-        """A controller killed after ``n_obs`` observations."""
-        opts = FrontierOptions(error_budget=0.1)
-        ladder = voltage_ladder(8)
-        ctrl = ErrorBudgetController(
-            "w", ladder, opts, state_dir=str(tmp_path), context_meta={"s": 1}
-        )
-        for _ in range(n_obs):
-            step = ctrl.pending_step()
-            ctrl.observe(
-                step.index,
-                error=0.05 if step.index <= 4 else 0.5,
-                energy_saved=0.1,
-            )
-        return opts, ladder, ctrl
-
-    def test_resume_mid_bracket_is_byte_identical(self, tmp_path):
-        opts, ladder, killed = self._interrupted(tmp_path, n_obs=2)
-        # Uninterrupted reference search (no state dir).
-        _, want = _drive(
-            ErrorBudgetController("w", ladder, opts),
-            lambda i: 0.05 if i <= 4 else 0.5,
-        )
-        # A fresh controller adopts the killed one's bracket...
-        resumed = ErrorBudgetController(
-            "w", ladder, opts, state_dir=str(tmp_path), context_meta={"s": 1}
-        )
-        assert (resumed.lo, resumed.hi) == (killed.lo, killed.hi)
-        assert resumed.evals == killed.evals
-        # ...and finishes to the same result as the clean search.
-        probes, got = _drive(resumed, lambda i: 0.05 if i <= 4 else 0.5)
-        assert len(probes) < len(want.evals)  # it did NOT restart
-        assert got.frontier == want.frontier
-        assert got.evals == want.evals
-
-    def test_resume_replays_events_for_restored_evals(self, tmp_path):
-        """The resumed run's event log carries the full history, even
-        for decisions made before the kill."""
-        opts, ladder, killed = self._interrupted(tmp_path, n_obs=2)
-        events = []
-        resumed = ErrorBudgetController(
-            "w", ladder, opts, state_dir=str(tmp_path),
-            context_meta={"s": 1}, event_log=events,
-        )
-        steps = [e for e in events if e["kind"] == "controller_step"]
-        assert [e["step"] for e in steps] == [
-            e["step"] for e in killed.evals
-        ]
-        assert (resumed.lo, resumed.hi) == (killed.lo, killed.hi)
-
-    def test_stale_fingerprint_restarts(self, tmp_path):
-        opts, ladder, _ = self._interrupted(tmp_path, n_obs=2)
-        # Different budget -> different fingerprint -> fresh bracket.
-        other = ErrorBudgetController(
-            "w", ladder, FrontierOptions(error_budget=0.2),
-            state_dir=str(tmp_path), context_meta={"s": 1},
-        )
-        assert other.evals == [] and (other.lo, other.hi) == (-1, 8)
-        # Different context (seed/scale/engine) -> fresh bracket too.
-        other = ErrorBudgetController(
-            "w", ladder, opts, state_dir=str(tmp_path), context_meta={"s": 2}
-        )
-        assert other.evals == []
-
-    def test_corrupt_state_restarts_with_warning(self, tmp_path):
-        opts, ladder, _ = self._interrupted(tmp_path, n_obs=2)
-        (tmp_path / "w.json").write_text("{not json")
-        ctrl = ErrorBudgetController(
-            "w", ladder, opts, state_dir=str(tmp_path), context_meta={"s": 1}
-        )
-        assert ctrl.evals == []  # skipped, not crashed
-
-
 # ------------------------------------------------- FaultConfig.from_dict
 
 
@@ -420,7 +339,7 @@ class TestFrontierKillAndResume:
                 pass
         proc.wait(timeout=60)
 
-        # Run 2: resume against the same journal + controller state.
+        # Run 2: resume against the same journal.
         resumed = subprocess.run(
             self._cli(
                 tmp_path, tmp_path / "json_resumed",
@@ -453,6 +372,63 @@ class TestFrontierKillAndResume:
             }
         assert "controller_step" in kinds
         assert "controller_converged" in kinds
+
+
+class TestFrontierResumeFromJournal:
+    """Checkpointed searches resume from the sweep journal alone, in
+    the same decision order as an uninterrupted search."""
+
+    OPTIONS = {"error_budget": 0.25, "voltage_steps": 6}
+
+    def _run(self, tmp_path, tag, **kwargs):
+        """One in-process canneal+jpeg search; its stored events and
+        result-row count."""
+        from repro.harness.strategy import run_strategies
+
+        store = tmp_path / f"{tag}.db"
+        result = run_strategies(
+            ["frontier"], workloads=["canneal", "jpeg"], seed=SEED,
+            scale=SCALE, strategy_options=self.OPTIONS,
+            record_history=True, store_path=str(store), **kwargs,
+        )
+        with sqlite3.connect(store) as conn:
+            events = conn.execute(
+                "SELECT kind, payload FROM events "
+                "WHERE kind LIKE 'controller_%' ORDER BY id"
+            ).fetchall()
+            (rows,) = conn.execute("SELECT COUNT(*) FROM results").fetchone()
+        return result, events, rows
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("frontier-resume")
+        ckpt = str(tmp_path / "ckpt")
+        return {
+            "clean": self._run(tmp_path, "clean"),
+            "checkpointed": self._run(tmp_path, "ckpt", checkpoint_dir=ckpt),
+            "resumed": self._run(
+                tmp_path, "resumed", checkpoint_dir=ckpt, resume=True
+            ),
+            "rerun": self._run(tmp_path, "rerun", checkpoint_dir=ckpt),
+            "ckpt": ckpt,
+        }
+
+    def test_no_controller_state_files(self, runs):
+        assert not os.path.exists(os.path.join(runs["ckpt"], "frontier"))
+
+    def test_resumed_events_match_clean_run_in_order(self, runs):
+        _, clean, _ = runs["clean"]
+        _, resumed, _ = runs["resumed"]
+        assert {kind for kind, _ in clean} >= {
+            "controller_step", "controller_converged"
+        }
+        assert resumed == clean
+
+    def test_rerun_without_resume_records_every_result(self, runs):
+        _, clean_events, clean_rows = runs["clean"]
+        _, rerun_events, rerun_rows = runs["rerun"]
+        assert rerun_rows == clean_rows > 0
+        assert rerun_events == clean_events
 
 
 class TestFrontierEndToEnd:

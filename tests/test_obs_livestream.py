@@ -128,8 +128,7 @@ class TestHeartbeatsEndToEnd:
         ctx = ExperimentContext(seed=SEED, scale=SCALE, workloads=WORKLOADS)
         sink = LiveProgressSink()
         fetched = prefetch_runs(
-            ctx, [], jobs=2,
-            run_specs=[baseline_spec()], error_specs=[],
+            ctx, [(name, baseline_spec()) for name in ctx.names], jobs=2,
             progress=sink,
         )
         assert fetched == len(WORKLOADS)

@@ -1,5 +1,9 @@
 """Tests for phase profiling (repro.obs.profiling)."""
 
+import time
+
+import pytest
+
 from repro.obs.events import RingBufferSink, Tracer
 from repro.obs.profiling import PhaseProfiler
 
@@ -51,6 +55,20 @@ class TestPhaseProfiler:
         # Only the leaf counts; the enclosing phase would double-count.
         stages = prof.by_stage()
         assert stages["sim"] <= prof.phases["sim/canneal"].seconds
+
+    def test_by_stage_counts_nested_stage_once(self):
+        prof = PhaseProfiler()
+        with prof.phase("experiment/e"):
+            time.sleep(0.005)
+            with prof.phase("sim/x"):
+                time.sleep(0.005)
+        stages = prof.by_stage()
+        assert set(stages) == {"experiment", "sim"}
+        # Self times: the outer phase's time is split, never repeated.
+        assert sum(stages.values()) == pytest.approx(
+            prof.phases["experiment/e"].seconds
+        )
+        assert prof.phases["sim/x"].seconds <= stages["sim"]
 
     def test_render_lists_phases(self):
         prof = PhaseProfiler()

@@ -85,7 +85,8 @@ class TestPrefetchCancel:
         token.cancel("test cancel")
         with pytest.raises(Cancelled, match="test cancel"):
             prefetch_runs(
-                small_scale_ctx, [], 2, run_specs=[dopp_spec()], cancel=token
+                small_scale_ctx, _pairs(small_scale_ctx, dopp_spec()),
+                jobs=2, cancel=token,
             )
 
     def test_mid_sweep_cancel_keeps_completed(self, small_scale_ctx):
@@ -96,9 +97,8 @@ class TestPrefetchCancel:
             with pytest.raises(Cancelled, match="mid-sweep"):
                 prefetch_runs(
                     small_scale_ctx,
-                    [],
-                    2,
-                    run_specs=[dopp_spec()],
+                    _pairs(small_scale_ctx, dopp_spec()),
+                    jobs=2,
                     cancel=token,
                 )
         finally:
@@ -107,12 +107,16 @@ class TestPrefetchCancel:
     def test_uncancelled_sweep_completes(self, small_scale_ctx):
         fetched = prefetch_runs(
             small_scale_ctx,
-            [],
-            2,
-            run_specs=[dopp_spec()],
+            _pairs(small_scale_ctx, dopp_spec()),
+            jobs=2,
             cancel=CancelToken(),
         )
         assert fetched == 2
+
+
+def _pairs(ctx, spec):
+    """Every workload of ``ctx`` under ``spec``."""
+    return [(name, spec) for name in ctx.names]
 
 
 @pytest.fixture

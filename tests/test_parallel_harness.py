@@ -7,42 +7,58 @@ so every downstream table is identical.
 
 import pytest
 
-from repro.harness.parallel import _split_fan, plan_specs, prefetch_runs
+from repro.harness.parallel import _split_fan, prefetch_runs
 from repro.harness.runner import (
     ExperimentContext,
     baseline_spec,
     dopp_spec,
     uni_spec,
 )
+from repro.harness.strategy import plan_pairs, registry
 
 SEED = 3
 SCALE = 0.05
 WORKLOADS = ["swaptions", "kmeans"]
 
 
+def planned_specs(names):
+    """One workload's (run specs, error specs) for registered experiments."""
+    runs, errors = plan_pairs([registry.get(n) for n in names], ["w"])
+    return [s for _, s in runs], [s for _, s in errors]
+
+
+def pairs(ctx, specs):
+    """Every workload of ``ctx`` under every spec."""
+    return [(name, spec) for name in ctx.names for spec in specs]
+
+
 class TestPlanSpecs:
     def test_table2_needs_baseline_only(self):
-        runs, errors = plan_specs(["table2"])
+        runs, errors = planned_specs(["table2"])
         assert runs == [baseline_spec()]
         assert errors == []
 
     def test_fig09_sweeps_map_bits(self):
-        runs, errors = plan_specs(["fig09"])
+        runs, errors = planned_specs(["fig09"])
         assert baseline_spec() in runs
         assert dopp_spec(12, 0.25) in runs and dopp_spec(14, 0.25) in runs
         assert errors == [dopp_spec(b, 0.25) for b in (12, 13, 14)]
 
     def test_fig14_uses_uni_specs(self):
-        runs, errors = plan_specs(["fig14"])
+        runs, errors = planned_specs(["fig14"])
         assert uni_spec(14, 0.25) in runs
         assert uni_spec(14, 0.75) in errors
 
     def test_config_only_experiments_need_nothing(self):
-        assert plan_specs(["fig13", "table3", "fig02"]) == ([], [])
+        assert planned_specs(["fig13", "table3", "fig02"]) == ([], [])
 
     def test_dedup_across_experiments(self):
-        runs, _ = plan_specs(["table2", "headline", "fig10"])
+        runs, _ = planned_specs(["table2", "headline", "fig10"])
         assert runs.count(baseline_spec()) == 1
+
+    def test_specs_expand_over_every_workload(self):
+        runs, _ = plan_pairs([registry.get("table2")], ["a", "b"])
+        assert runs == [("a", baseline_spec()), ("b", baseline_spec())]
 
 
 class TestPrefetchRuns:
@@ -54,9 +70,7 @@ class TestPrefetchRuns:
             seq.run(name, dopp_spec(14, 0.25))
         par = ExperimentContext(seed=SEED, scale=SCALE, workloads=WORKLOADS)
         fetched = prefetch_runs(
-            par, [], jobs=2,
-            run_specs=[baseline_spec(), dopp_spec(14, 0.25)],
-            error_specs=[],
+            par, pairs(par, [baseline_spec(), dopp_spec(14, 0.25)]), jobs=2,
         )
         assert fetched == 4
         return seq, par
@@ -93,14 +107,15 @@ class TestPrefetchRuns:
     def test_second_prefetch_is_a_noop(self, contexts):
         _, par = contexts
         assert prefetch_runs(
-            par, [], jobs=2,
-            run_specs=[baseline_spec(), dopp_spec(14, 0.25)],
-            error_specs=[],
+            par, pairs(par, [baseline_spec(), dopp_spec(14, 0.25)]), jobs=2,
         ) == 0
 
     def test_experiment_plan_prefetch_with_errors(self):
         ctx = ExperimentContext(seed=SEED, scale=SCALE, workloads=["swaptions"])
-        fetched = prefetch_runs(ctx, ["headline"], jobs=2)
+        run_pairs, error_pairs = plan_pairs(
+            [registry.get("headline")], ctx.names
+        )
+        fetched = prefetch_runs(ctx, run_pairs, error_pairs, jobs=2)
         assert fetched == 2
         assert ("swaptions", dopp_spec(14, 0.25)) in ctx._runs
 
@@ -145,9 +160,7 @@ class TestConfigFanSplitting:
         for spec in fan:
             seq.run("swaptions", spec)
         par = ExperimentContext(seed=SEED, scale=SCALE, workloads=["swaptions"])
-        fetched = prefetch_runs(
-            par, [], jobs=4, run_specs=fan, error_specs=[],
-        )
+        fetched = prefetch_runs(par, pairs(par, fan), jobs=4)
         assert fetched == len(fan)
         return seq, par
 
@@ -174,12 +187,3 @@ class TestConfigFanSplitting:
             ]
 
         assert strip(seq.run_summaries()) == strip(par.run_summaries())
-
-    def test_split_disabled_keeps_one_task_per_workload(self):
-        fan = [baseline_spec(), dopp_spec(14, 0.25)]
-        ctx = ExperimentContext(seed=SEED, scale=SCALE, workloads=["swaptions"])
-        fetched = prefetch_runs(
-            ctx, [], jobs=4, run_specs=fan, error_specs=[],
-            split_fans=False,
-        )
-        assert fetched == len(fan)

@@ -28,6 +28,7 @@ from repro.harness.runner import (
     ExperimentContext,
     baseline_spec,
     dopp_spec,
+    uni_spec,
 )
 from repro.obs import EVENT_ENGINE_FALLBACK, EVENT_WORKER_RETRY, Observability
 from repro.resilience.checkpoint import (
@@ -349,8 +350,7 @@ class TestParallelResilience:
         seq.run("kmeans", FSPEC)
         par = ExperimentContext(seed=SEED, scale=SCALE, workloads=["kmeans"])
         fetched = prefetch_runs(
-            par, [], jobs=2,
-            run_specs=[baseline_spec(), FSPEC], error_specs=[],
+            par, [("kmeans", baseline_spec()), ("kmeans", FSPEC)], jobs=2,
         )
         assert fetched == 2
         assert _strip(seq.run_summaries()) == _strip(par.run_summaries())
@@ -365,8 +365,8 @@ class TestParallelResilience:
         seq_err = seq.error("swaptions", spec)  # before any trace exists
         par = ExperimentContext(seed=SEED, scale=SCALE, workloads=["swaptions"])
         prefetch_runs(
-            par, [], jobs=1,
-            run_specs=[baseline_spec(), spec], error_specs=[spec],
+            par, [("swaptions", baseline_spec()), ("swaptions", spec)],
+            [("swaptions", spec)], jobs=1,
         )
         assert par._errors[("swaptions", spec)] == seq_err
 
@@ -378,8 +378,7 @@ class TestParallelResilience:
         start = time.monotonic()
         with pytest.raises(SimulationFault) as excinfo:
             prefetch_runs(
-                ctx, [], jobs=1,
-                run_specs=[baseline_spec()], error_specs=[],
+                ctx, [("swaptions", baseline_spec())], jobs=1,
                 timeout=1.0, retries=0,
             )
         assert time.monotonic() - start < 60  # the 300s sleeper was killed
@@ -395,8 +394,7 @@ class TestParallelResilience:
         ctx = _fork_ctx(swaptions_ctx)
         with pytest.raises(SimulationFault) as excinfo:
             prefetch_runs(
-                ctx, [], jobs=1,
-                run_specs=[baseline_spec()], error_specs=[], retries=0,
+                ctx, [("swaptions", baseline_spec())], jobs=1, retries=0,
             )
         msg = str(excinfo.value)
         assert "worker process died" in msg
@@ -412,8 +410,7 @@ class TestParallelResilience:
         obs = Observability(enabled=True, ring_capacity=64)
         ctx = _fork_ctx(swaptions_ctx, obs=obs)
         fetched = prefetch_runs(
-            ctx, [], jobs=1,
-            run_specs=[baseline_spec()], error_specs=[],
+            ctx, [("swaptions", baseline_spec())], jobs=1,
             retries=1, backoff=0.01,
         )
         assert fetched == 1
@@ -487,6 +484,65 @@ class TestCheckpoint:
         assert d1 == spec_digest("swaptions", FSPEC)
         assert d1 != spec_digest("kmeans", FSPEC)
         assert d1 != spec_digest("swaptions", dopp_spec(14, 0.25))
+
+    @pytest.mark.parametrize(
+        "spec", [dopp_spec(14, 0.25), uni_spec(14, 0.5)],
+        ids=["split", "unified"],
+    )
+    def test_record_pickles_without_its_tracer(
+        self, swaptions_ctx, tmp_path, spec
+    ):
+        """A JSONL tracer (an open file) is a live channel, not state:
+        journaling a traced record must not try to pickle it."""
+        import pickle
+
+        obs = Observability(trace_path=str(tmp_path / "trace.jsonl"))
+        ctx = _fork_ctx(swaptions_ctx, obs=obs)
+        try:
+            record = ctx.run("swaptions", spec)
+            clone = pickle.loads(pickle.dumps(record))
+        finally:
+            obs.close()
+        kind = "dopp" if spec.kind == "dopp" else "uni"
+        assert getattr(record.llc, kind).tracer is obs.tracer
+        assert getattr(clone.llc, kind).tracer is None
+        assert clone.system == record.system
+
+    def test_sequential_sweep_journals_and_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        """``--checkpoint-dir`` journals at ``--jobs 1`` too, and the
+        resumed sweep simulates nothing."""
+        from repro.cli import main
+        from repro.hierarchy.system import System
+
+        ckpt = str(tmp_path / "ckpt")
+
+        def sweep(json_dir, *extra):
+            code = main(
+                ["headline", "--workloads", "swaptions", "--scale",
+                 str(SCALE), "--seed", str(SEED), "--jobs", "1",
+                 "--checkpoint-dir", ckpt, "--no-store",
+                 "--json-out", str(tmp_path / json_dir), *extra]
+            )
+            assert code == 0
+            with open(tmp_path / json_dir / "headline.json") as fh:
+                return json.load(fh)["tables"]
+
+        first = sweep("first")
+        # headline simulates the baseline and the base Doppelgänger LLC.
+        assert len(glob.glob(os.path.join(ckpt, "run-swaptions-*.pkl"))) == 2
+
+        simulated = []
+        real_run = System.run
+
+        def counting_run(self, *args, **kwargs):
+            simulated.append(1)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(System, "run", counting_run)
+        assert sweep("resumed", "--resume") == first
+        assert simulated == []
 
     def test_open_journal_disabled_without_directory(self, swaptions_ctx):
         assert open_journal("", swaptions_ctx) is None
